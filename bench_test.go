@@ -294,53 +294,3 @@ func BenchmarkEpisodeDS2Attacked(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkCampaignThroughputBatched measures campaign throughput under
-// lockstep episode lanes (engine.WithEpisodeBatch). The nn sub-benchmarks
-// run trained-style NN oracles — the case batching exists for: lanes
-// coalesce the safety hijacker's per-decision queries into blocked
-// GEMM forward passes. The analytic sub-benchmark proves the lane
-// machinery is near-free when no episode ever queries a network.
-// Results are byte-identical across batch sizes by construction
-// (TestBatchedCampaignBitIdentical).
-func BenchmarkCampaignThroughputBatched(b *testing.B) {
-	c := experiment.Campaign{
-		Name:               "DS-2-Disappear-R",
-		Scenario:           scenario.DS2,
-		Mode:               core.ModeSmart,
-		PreferDisappearFor: sim.ClassPedestrian,
-		ExpectCrashes:      true,
-	}
-	rng := stats.NewRNG(5)
-	oracles := map[core.Vector]core.Oracle{
-		core.VectorDisappear: &core.NNOracle{Net: nn.NewRegressor(core.EncodeDim, rng)},
-		core.VectorMoveOut:   &core.NNOracle{Net: nn.NewRegressor(core.EncodeDim, rng)},
-	}
-	cases := []struct {
-		name    string
-		oracles map[core.Vector]core.Oracle
-		batch   int
-	}{
-		{"nn/batch=1", oracles, 1},
-		{"nn/batch=4", oracles, 4},
-		{"nn/batch=8", oracles, 8},
-		{"analytic/batch=4", nil, 4},
-	}
-	for _, tc := range cases {
-		b.Run(tc.name, func(b *testing.B) {
-			eng := engine.New(engine.WithEpisodeBatch(tc.batch))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := experiment.RunCampaignOn(eng, c, benchRuns, 4000, tc.oracles)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.Runs != benchRuns {
-					b.Fatalf("ran %d episodes, want %d", res.Runs, benchRuns)
-				}
-			}
-			b.ReportMetric(float64(benchRuns*b.N)/b.Elapsed().Seconds(), "episodes/s")
-		})
-	}
-}

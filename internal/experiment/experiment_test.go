@@ -310,6 +310,11 @@ func TestResumeRejectsMismatchedSeeds(t *testing.T) {
 	}
 }
 
+// TestCampaignDeterministicAcrossWorkers: the same campaign persists
+// identical episode records and aggregates at any worker count, and a
+// golden (no-attack) sweep aggregates identically too. Each worker
+// reuses its own Scratch across episodes, so this also proves pooled
+// per-worker state never leaks into results.
 func TestCampaignDeterministicAcrossWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign test")
@@ -322,22 +327,114 @@ func TestCampaignDeterministicAcrossWorkers(t *testing.T) {
 	c := Campaign{Name: "det", Scenario: scenario.DS2, Mode: core.ModeSmart,
 		PreferDisappearFor: sim.ClassPedestrian, ExpectCrashes: true}
 	var want CampaignResult
+	var wantEps []results.EpisodeRecord
 	for i, workers := range []int{1, 4, 8} {
-		got, err := RunCampaignOn(engine.New(engine.WithWorkers(workers)), c, 12, 500, oracles)
+		mem := results.NewMemStore()
+		got, err := RunCampaignOn(engine.New(engine.WithWorkers(workers)), c, 12, 500, oracles, WithSink(mem))
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		if got.Runs != 12 {
 			t.Fatalf("workers=%d: %d runs, want 12", workers, got.Runs)
 		}
+		eps, err := mem.Episodes(c.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(eps) != 12 {
+			t.Fatalf("workers=%d: stored %d episode records, want 12", workers, len(eps))
+		}
 		if i == 0 {
-			want = got
+			want, wantEps = got, eps
 			continue
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("workers=%d: aggregate differs from 1-worker run:\n got %+v\nwant %+v",
 				workers, got, want)
 		}
+		if !reflect.DeepEqual(eps, wantEps) {
+			t.Errorf("workers=%d: stored episode records differ from 1-worker run", workers)
+		}
+	}
+
+	golden1, err := RunGoldenOn(engine.New(engine.WithWorkers(1)), scenario.DS1, 8, 91)
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden2, err := RunGoldenOn(engine.New(engine.WithWorkers(2)), scenario.DS1, 8, 91)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(golden1.CampaignRecord, golden2.CampaignRecord) {
+		t.Errorf("golden aggregate differs at 2 workers:\n got %+v\nwant %+v",
+			golden2.CampaignRecord, golden1.CampaignRecord)
+	}
+}
+
+// TestBatchedCampaignBitIdentical: a campaign persisted to a store
+// gives identical stored episode records and aggregates at 1, 2 and 4
+// workers. The name predates the removal of the episode-batch mode;
+// unlike TestCampaignDeterministicAcrossWorkers it also runs under
+// -short, with two oracles and uneven work splits (10 runs). Run with
+// -race (the CI race job does) to double as the worker-isolation proof.
+func TestBatchedCampaignBitIdentical(t *testing.T) {
+	oracles := testOracles()
+	c := Campaign{
+		Name:               "batched-iso",
+		Scenario:           scenario.DS2,
+		Mode:               core.ModeSmart,
+		PreferDisappearFor: sim.ClassPedestrian,
+		ExpectCrashes:      true,
+	}
+	const runs = 10
+	const baseSeed = 4400
+
+	var refStore *results.MemStore
+	var refRec results.CampaignRecord
+	for _, workers := range []int{1, 2, 4} {
+		st := results.NewMemStore()
+		res, err := RunCampaignOn(engine.New(engine.WithWorkers(workers)), c, runs, baseSeed, oracles, WithSink(st))
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if refStore == nil {
+			refStore, refRec = st, res.CampaignRecord
+			continue
+		}
+		if !reflect.DeepEqual(res.CampaignRecord, refRec) {
+			t.Errorf("workers=%d: aggregate differs from single-worker run:\ngot:  %+v\nwant: %+v",
+				workers, res.CampaignRecord, refRec)
+		}
+		got, err := st.Episodes(c.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := refStore.Episodes(c.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("workers=%d: stored episode records differ from baseline", workers)
+		}
+	}
+}
+
+// TestBatchedGoldenCampaignIdentical covers the no-oracle path: golden
+// episodes aggregate identically on one worker and on four, and it runs
+// under -short. The name predates the removal of the episode-batch mode.
+func TestBatchedGoldenCampaignIdentical(t *testing.T) {
+	const runs = 8
+	base, err := RunGoldenOn(engine.New(engine.WithWorkers(1)), scenario.DS1, runs, 91)
+	if err != nil {
+		t.Fatal(err)
+	}
+	multi, err := RunGoldenOn(engine.New(engine.WithWorkers(4)), scenario.DS1, runs, 91)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(base.CampaignRecord, multi.CampaignRecord) {
+		t.Errorf("golden aggregate differs at 4 workers:\n got %+v\nwant %+v",
+			multi.CampaignRecord, base.CampaignRecord)
 	}
 }
 

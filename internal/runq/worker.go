@@ -9,6 +9,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/url"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -36,14 +37,9 @@ type Worker struct {
 	// them to the server in one request (<=0: DefaultPostBatch).
 	// Larger batches cut HTTP round-trips on fast jobs; smaller ones
 	// tighten the at-most-one-unflushed-batch crash window. This is a
-	// transport knob — it batches RESULT UPLOADS. Batched INFERENCE is
-	// EpisodeBatch.
+	// transport knob: it batches result uploads and never changes how
+	// episodes execute.
 	Batch int
-	// EpisodeBatch is the lockstep episode-lane count per engine worker
-	// (engine.WithEpisodeBatch): lanes coalesce same-network oracle
-	// queries into batched forward passes. <=1 disables lanes. Distinct
-	// from Batch, which only shapes HTTP traffic.
-	EpisodeBatch int
 	// Oracles are trained safety-hijacker oracles for smart-mode jobs
 	// (nil: the analytic oracle).
 	Oracles map[core.Vector]core.Oracle
@@ -201,8 +197,7 @@ func (w *Worker) RunOne(ctx context.Context) (ran bool, err error) {
 // serialize the engine fold behind the network. A worker crash loses
 // at most one unflushed batch — the requeued attempt simply re-runs
 // those episodes. Override per worker with Worker.Batch
-// (robotack-worker -batch). Unrelated to inference batching
-// (Worker.EpisodeBatch / robotack-worker -episode-batch).
+// (robotack-worker -batch).
 const DefaultPostBatch = 16
 
 // batch returns the effective episode batch size.
@@ -408,25 +403,37 @@ const spanForwarderBatch = 128
 // spans to the server's /runs/{id}/spans endpoint in batches. Spans
 // are observability, not results: a failed post is logged and the
 // batch dropped, never retried — the job's outcome must not hinge on
-// span delivery.
+// span delivery. Every engine worker emits into the same forwarder, so
+// the buffer is guarded; posts run outside the lock.
 type spanForwarder struct {
 	r   *run
+	mu  sync.Mutex
 	buf []trace.SpanData
 }
 
 func (f *spanForwarder) Emit(d *trace.SpanData) {
+	f.mu.Lock()
 	f.buf = append(f.buf, d.Clone())
+	var batch []trace.SpanData
 	if len(f.buf) >= spanForwarderBatch {
-		f.flush()
+		batch, f.buf = f.buf, nil
 	}
+	f.mu.Unlock()
+	f.post(batch)
 }
 
 func (f *spanForwarder) flush() {
-	if len(f.buf) == 0 {
-		return
-	}
+	f.mu.Lock()
 	batch := f.buf
 	f.buf = nil
+	f.mu.Unlock()
+	f.post(batch)
+}
+
+func (f *spanForwarder) post(batch []trace.SpanData) {
+	if len(batch) == 0 {
+		return
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	status, err := f.r.w.postJSON(ctx, fmt.Sprintf("/runs/%d/spans", f.r.jobID), f.r.traceparent,
@@ -462,7 +469,6 @@ func (w *Worker) executeJob(ctx context.Context, job Job, r *run) (results.Campa
 	eng := engine.New(
 		engine.WithContext(ctx),
 		engine.WithWorkers(w.Workers),
-		engine.WithEpisodeBatch(w.EpisodeBatch),
 		engine.WithProgress(func(done, total int) {
 			r.done.Store(int64(done))
 			r.total.Store(int64(total))
