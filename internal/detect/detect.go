@@ -143,9 +143,8 @@ type Detector struct {
 	cfg Config
 	rng *stats.RNG
 
-	visited []int32 // CC labeling scratch, reused across frames
-	queue   []int32
-	gen     int32
+	runs  []run  // labelling scratch, reused across frames
+	blobs []blob // component fold scratch
 
 	prev, next []detTrack  // miss-run memory, double-buffered
 	comps      []component // per-frame component scratch
@@ -370,78 +369,103 @@ type component struct {
 	area int
 }
 
+// run is one horizontal span [x0, x1) of foreground pixels on row y,
+// and a node of the labelling union-find. Unions keep the smaller run
+// index as root, so a component's root is its earliest run; once
+// labelled, a root's comp indexes its component in the blob scratch.
+type run struct {
+	x0, x1, y    int
+	parent, comp int
+}
+
+// blob is one component's pixel mass and inclusive pixel bounds,
+// folded from its runs.
+type blob struct {
+	minX, minY, maxX, maxY, area int
+}
+
 // components labels 4-connected foreground regions and returns their
 // pixel bounding boxes.
+//
+// It is a run-length scanline labeller. One row-major pass emits each
+// row's runs of pixels >= Threshold and joins every run to the runs of
+// the previous row that share a column with it. A component's root is
+// its earliest run, which starts at the component's first pixel in
+// row-major order, so components are reported in the order a row-major
+// flood fill discovers them. Only the window that can hold foreground
+// is scanned: silhouettes cover a tiny fraction of the raster.
 func (d *Detector) components(img *sensor.Image) []component {
-	n := img.W * img.H
-	if len(d.visited) < n {
-		d.visited = make([]int32, n)
-		d.gen = 0
-	}
-	d.gen++
-	gen := d.gen
-	comps := d.comps[:0]
 	th := d.cfg.Threshold
-
-	// Scan only the window that can hold foreground: silhouettes cover
-	// a tiny fraction of the raster, and the full-raster scan used to
-	// dominate the whole frame loop's CPU time. The window walk is
-	// row-major like the historical full scan, so components are
-	// discovered — and reported — in the identical order.
+	runs := d.runs[:0]
 	wx0, wy0, wx1, wy1 := img.ForegroundWindow(th)
-	for wy := wy0; wy < wy1; wy++ {
-		rowOff := wy * img.W
-		for wx := wx0; wx < wx1; wx++ {
-			start := rowOff + wx
-			if d.visited[start] == gen || img.Pix[start] < th {
+	prev0, prev1 := 0, 0 // the previous row's runs
+	for y := wy0; y < wy1; y++ {
+		row := img.Pix[y*img.W : (y+1)*img.W]
+		cur0, p := len(runs), prev0
+		for x := wx0; x < wx1; x++ {
+			if row[x] < th {
 				continue
 			}
-			// BFS flood fill from start.
-			minX, minY := start%img.W, start/img.W
-			maxX, maxY := minX, minY
-			area := 0
-			d.queue = d.queue[:0]
-			d.queue = append(d.queue, int32(start))
-			d.visited[start] = gen
-			for len(d.queue) > 0 {
-				p := int(d.queue[len(d.queue)-1])
-				d.queue = d.queue[:len(d.queue)-1]
-				x, y := p%img.W, p/img.W
-				area++
-				if x < minX {
-					minX = x
-				}
-				if x > maxX {
-					maxX = x
-				}
-				if y < minY {
-					minY = y
-				}
-				if y > maxY {
-					maxY = y
-				}
-				for _, q := range [4]int{p - 1, p + 1, p - img.W, p + img.W} {
-					if q < 0 || q >= n || d.visited[q] == gen {
-						continue
-					}
-					// Horizontal neighbors must stay on the same row.
-					if (q == p-1 || q == p+1) && q/img.W != y {
-						continue
-					}
-					if img.Pix[q] >= th {
-						d.visited[q] = gen
-						d.queue = append(d.queue, int32(q))
-					}
-				}
+			x0 := x
+			for x+1 < wx1 && row[x+1] >= th {
+				x++
 			}
-			if area >= d.cfg.MinArea {
-				comps = append(comps, component{
-					box:  geom.R(float64(minX), float64(minY), float64(maxX-minX+1), float64(maxY-minY+1)),
-					area: area,
-				})
+			i := len(runs)
+			runs = append(runs, run{x0: x0, x1: x + 1, y: y, parent: i})
+			// Previous-row runs ending left of this one cannot touch it
+			// or any later run on this row.
+			for p < prev1 && runs[p].x1 <= x0 {
+				p++
+			}
+			for q := p; q < prev1 && runs[q].x0 <= x; q++ {
+				union(runs, q, i)
 			}
 		}
+		prev0, prev1 = cur0, len(runs)
 	}
-	d.comps = comps
+
+	blobs := d.blobs[:0]
+	for i := range runs {
+		r := &runs[i]
+		if root := find(runs, i); root != i {
+			b := &blobs[runs[root].comp]
+			b.minX = min(b.minX, r.x0)
+			b.maxX = max(b.maxX, r.x1-1)
+			b.maxY = r.y
+			b.area += r.x1 - r.x0
+			continue
+		}
+		r.comp = len(blobs)
+		blobs = append(blobs, blob{minX: r.x0, minY: r.y, maxX: r.x1 - 1, maxY: r.y, area: r.x1 - r.x0})
+	}
+
+	comps := d.comps[:0]
+	for _, b := range blobs {
+		if b.area >= d.cfg.MinArea {
+			comps = append(comps, component{
+				box:  geom.R(float64(b.minX), float64(b.minY), float64(b.maxX-b.minX+1), float64(b.maxY-b.minY+1)),
+				area: b.area,
+			})
+		}
+	}
+	d.runs, d.blobs, d.comps = runs, blobs, comps
 	return comps
+}
+
+// find returns the root of run i's component, halving the path.
+func find(runs []run, i int) int {
+	for runs[i].parent != i {
+		runs[i].parent = runs[runs[i].parent].parent
+		i = runs[i].parent
+	}
+	return i
+}
+
+// union joins the components of runs a and b under the smaller root.
+func union(runs []run, a, b int) {
+	a, b = find(runs, a), find(runs, b)
+	if a > b {
+		a, b = b, a
+	}
+	runs[b].parent = a
 }

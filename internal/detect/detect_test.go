@@ -237,15 +237,22 @@ func TestDetectorWithCameraEndToEnd(t *testing.T) {
 	}
 }
 
+// BenchmarkDetect labels one camera-rendered frame: two cars and a
+// pedestrian with anti-aliased edges, as the frame loop sees them.
 func BenchmarkDetect(b *testing.B) {
-	rng := stats.NewRNG(1)
-	det := NewDefault(rng)
-	img := sensor.NewImage(192, 108)
-	img.Clear(0.05)
-	for i := 0; i < 6; i++ {
-		img.FillRect(geom.R(float64(10+30*i), 50, 12, 9), 0.9)
+	ev := sim.DefaultEV()
+	ev.Speed = 10
+	w := sim.NewWorld(sim.DefaultRoad(), ev)
+	w.AddActor(&sim.Actor{Class: sim.ClassVehicle, Pos: geom.V(25, 0), Size: sim.SizeCar, Behavior: sim.Parked{}})
+	w.AddActor(&sim.Actor{Class: sim.ClassVehicle, Pos: geom.V(55, 3.5), Size: sim.SizeCar, Behavior: sim.Parked{}})
+	w.AddActor(&sim.Actor{Class: sim.ClassPedestrian, Pos: geom.V(18, -4), Size: sim.SizePedestrian, Behavior: sim.Parked{}})
+	img := sensor.DefaultCamera().Capture(w, 0).Image
+	det := NewDefault(stats.NewRNG(1))
+	if n := len(det.components(img)); n != 3 {
+		b.Fatalf("frame holds %d components, want 3", n)
 	}
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = det.Detect(img)
 	}

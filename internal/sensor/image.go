@@ -130,6 +130,11 @@ func (im *Image) FillRect(r geom.Rect, v float64) {
 // fractional edge intensities let the detector recover object borders
 // with sub-pixel precision, standing in for the 10x finer pixel grid of
 // the paper's 1920x1080 camera.
+//
+// A pixel's coverage is its row coverage times its column coverage.
+// Only the first and last clipped columns can be partly covered; every
+// column between them overlaps r by exactly 1, so its coverage is the
+// row's.
 func (im *Image) FillRectAA(r geom.Rect, v float64) {
 	yLo, yHi := r.Min.Y, r.Min.Y+r.H
 	xLo, xHi := r.Min.X, r.Min.X+r.W
@@ -149,19 +154,34 @@ func (im *Image) FillRectAA(r geom.Rect, v float64) {
 	if x1 > im.W {
 		x1 = im.W
 	}
+	if x1 <= x0 {
+		return
+	}
+	last := x1 - 1
+	cFirst := overlap(float64(x0), float64(x0)+1, xLo, xHi)
+	cLast := overlap(float64(last), float64(last)+1, xLo, xHi)
 	for y := y0; y < y1; y++ {
 		cy := overlap(float64(y), float64(y)+1, yLo, yHi)
-		row := y * im.W
-		for x := x0; x < x1; x++ {
-			c := cy * overlap(float64(x), float64(x)+1, xLo, xHi)
-			if c <= 0 {
-				continue
-			}
-			p := &im.Pix[row+x]
-			*p = (1-c)*(*p) + c*v
+		row := im.Pix[y*im.W : (y+1)*im.W]
+		blend(&row[x0], cy*cFirst, v)
+		if last == x0 {
+			continue
 		}
+		for x := x0 + 1; x < last; x++ {
+			blend(&row[x], cy, v)
+		}
+		blend(&row[last], cy*cLast, v)
 	}
 	im.markDirty(x0, y0, x1, y1)
+}
+
+// blend moves *p toward v by coverage c; uncovered pixels are left
+// untouched.
+func blend(p *float64, c, v float64) {
+	if c <= 0 {
+		return
+	}
+	*p = (1-c)*(*p) + c*v
 }
 
 // overlap returns the length of the intersection of [a0,a1] and [b0,b1].

@@ -198,6 +198,8 @@ func TestLidarNoiseWithinReason(t *testing.T) {
 	}
 }
 
+// BenchmarkCapture renders eight parked cars, the camera stage of one
+// frame.
 func BenchmarkCapture(b *testing.B) {
 	w := newSensorWorld()
 	for i := 0; i < 8; i++ {
@@ -205,8 +207,13 @@ func BenchmarkCapture(b *testing.B) {
 			Behavior: sim.Parked{}})
 	}
 	c := DefaultCamera()
+	// The frame loop renders into one warm buffer; Capture would
+	// allocate a fresh raster per op and measure that instead.
+	var buf CaptureBuffer
+	c.CaptureInto(&buf, w, 0)
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = c.Capture(w, i)
+		_ = c.CaptureInto(&buf, w, i)
 	}
 }

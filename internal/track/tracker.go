@@ -162,17 +162,6 @@ func (tr *Tracker) Config() Config { return tr.cfg }
 // Tracks returns the live tracks (both tentative and confirmed).
 func (tr *Tracker) Tracks() []*Track { return tr.tracks }
 
-// Confirmed returns only the confirmed tracks.
-func (tr *Tracker) Confirmed() []*Track {
-	out := make([]*Track, 0, len(tr.tracks))
-	for _, t := range tr.tracks {
-		if t.Confirmed {
-			out = append(out, t)
-		}
-	}
-	return out
-}
-
 // Step advances all tracks one frame and associates the new detections.
 // It returns the live track set after the update; the set is valid
 // until the next Step or Reset call (dead tracks are recycled).
