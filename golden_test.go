@@ -10,15 +10,20 @@ package robotack_test
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"flag"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"github.com/robotack/robotack/internal/core"
 	"github.com/robotack/robotack/internal/engine"
 	"github.com/robotack/robotack/internal/experiment"
+	"github.com/robotack/robotack/internal/nn"
+	"github.com/robotack/robotack/internal/policy"
 	"github.com/robotack/robotack/internal/results"
 	"github.com/robotack/robotack/internal/scenario"
 )
@@ -28,11 +33,16 @@ var updateGolden = flag.Bool("update", false, "regenerate testdata/golden/episod
 const goldenPath = "testdata/golden/episodes.json"
 
 // The anchor battery: every Table II campaign (paper trigger, analytic
-// oracles) and an attack-free golden run of each driving scenario.
+// oracles), an attack-free golden run of each driving scenario, the
+// "R w/o SH" variant of each smart Table II row, one smart campaign
+// under the default `param` attack policy, and a small forced-launch
+// oracle training set per attack vector. Together they pin every
+// malware mode: smart, noSH, random, policy-driven and forced.
 const (
 	goldenSeed         = 7_000
 	goldenCampaignRuns = 4
 	goldenBaselineRuns = 2
+	goldenOracleDeltas = 3
 )
 
 type goldenCampaign struct {
@@ -40,9 +50,17 @@ type goldenCampaign struct {
 	Episodes []string `json:"episodes"`
 }
 
+// goldenDataset is the digest of one forced-launch training set.
+type goldenDataset struct {
+	Vector  string `json:"vector"`
+	Samples int    `json:"samples"`
+	Digest  string `json:"digest"`
+}
+
 type goldenFile struct {
-	Seed      int64            `json:"seed"`
-	Campaigns []goldenCampaign `json:"campaigns"`
+	Seed       int64            `json:"seed"`
+	Campaigns  []goldenCampaign `json:"campaigns"`
+	OracleData []goldenDataset  `json:"oracle_data"`
 }
 
 // computeGolden runs the battery and digests each stored episode
@@ -65,6 +83,23 @@ func computeGolden(t *testing.T) goldenFile {
 		}
 		names = append(names, g.Name)
 	}
+	var variants []experiment.Campaign
+	for _, c := range experiment.TableIICampaigns() {
+		if c.Mode == core.ModeSmart {
+			variants = append(variants, c.WithoutSH())
+		}
+	}
+	param, err := policy.New(policy.DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	variants = append(variants, experiment.TableIICampaigns()[1].WithPolicy("param", param))
+	for _, c := range variants {
+		if _, err := experiment.RunCampaignOn(eng, c, goldenCampaignRuns, goldenSeed, nil, experiment.WithSink(store)); err != nil {
+			t.Fatalf("%s: %v", c.Name, err)
+		}
+		names = append(names, c.Name)
+	}
 
 	out := goldenFile{Seed: goldenSeed}
 	for _, name := range names {
@@ -83,7 +118,39 @@ func computeGolden(t *testing.T) goldenFile {
 		}
 		out.Campaigns = append(out.Campaigns, gc)
 	}
+
+	for i, spec := range experiment.DefaultOracleSpecs() {
+		spec.DeltaGrid = spec.DeltaGrid[:goldenOracleDeltas]
+		spec.SeedsPerPoint = 1
+		ds, err := experiment.GenerateOracleDataOn(eng, spec, goldenSeed+int64(i)*1_000)
+		if err != nil {
+			t.Fatalf("oracle data %v: %v", spec.Vector, err)
+		}
+		out.OracleData = append(out.OracleData, goldenDataset{
+			Vector:  spec.Vector.String(),
+			Samples: ds.Len(),
+			Digest:  datasetDigest(ds),
+		})
+	}
 	return out
+}
+
+// datasetDigest hashes a training set's exact float64 bits, row by
+// row, input features before the label.
+func datasetDigest(ds nn.Dataset) string {
+	h := sha256.New()
+	var b [8]byte
+	put := func(v float64) {
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+		h.Write(b[:])
+	}
+	for i, x := range ds.X {
+		for _, v := range x {
+			put(v)
+		}
+		put(ds.Y[i])
+	}
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // TestGoldenAnchor recomputes the battery's episode digests and names
@@ -130,6 +197,15 @@ func TestGoldenAnchor(t *testing.T) {
 				t.Fatalf("first drift: campaign %s episode %d: digest %s, fixture %s",
 					wc.Name, i, gc.Episodes[i][:12], wc.Episodes[i][:12])
 			}
+		}
+	}
+	if len(want.OracleData) != len(got.OracleData) {
+		t.Fatalf("fixture has %d oracle datasets, run has %d", len(want.OracleData), len(got.OracleData))
+	}
+	for i, wd := range want.OracleData {
+		if gd := got.OracleData[i]; wd != gd {
+			t.Fatalf("oracle dataset %d drifted: run %s/%d samples/%s, fixture %s/%d samples/%s",
+				i, gd.Vector, gd.Samples, gd.Digest[:12], wd.Vector, wd.Samples, wd.Digest[:12])
 		}
 	}
 }

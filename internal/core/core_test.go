@@ -319,3 +319,67 @@ func TestMalwareSingleShot(t *testing.T) {
 		t.Errorf("launches = %d, want at most 1 (SingleShot)", launches)
 	}
 }
+
+// spentMalware drives a smart malware against a closing lead vehicle
+// until its first attack has launched and finished, then returns it
+// with the next frame index.
+func spentMalware(t *testing.T, singleShot bool) (*Malware, int) {
+	t.Helper()
+	cam := sensor.DefaultCamera()
+	ev := sim.DefaultEV()
+	ev.Speed = sim.Kph(45)
+	w := sim.NewWorld(sim.DefaultRoad(), ev)
+	w.AddActor(&sim.Actor{Class: sim.ClassVehicle, Pos: geom.V(60, 0), Size: sim.SizeSUV,
+		Behavior: &sim.Cruise{Speed: sim.Kph(25)}})
+	cfg := DefaultConfig(ModeSmart)
+	cfg.SingleShot = singleShot
+	m := New(cfg, cam, nil, stats.NewRNG(2))
+	for i := 0; i < 15*30 && !w.Halted; i++ {
+		frame := cam.Capture(w, i)
+		m.SetEVSpeed(w.EV.Speed)
+		m.Process(frame.Image, i)
+		w.Step(0)
+		if m.Log().Launched && !m.Attacking() {
+			if len(m.own.LastDetections()) == 0 {
+				t.Fatal("own pipeline saw nothing on the frame the attack ended")
+			}
+			return m, i + 1
+		}
+	}
+	t.Fatal("smart malware never finished an attack on a closing lead vehicle")
+	return nil, 0
+}
+
+// TestSpentMalwareIsDormant: once its single shot is spent the malware
+// no longer looks at frames at all — a nil image must not reach its
+// own pipeline — and the attack log, K′ included, stays frozen.
+func TestSpentMalwareIsDormant(t *testing.T) {
+	m, next := spentMalware(t, true)
+	want := m.Log()
+	dets := len(m.own.LastDetections())
+	for i := next; i < next+60; i++ {
+		m.SetEVSpeed(sim.Kph(45))
+		m.Process(nil, i)
+	}
+	if got := m.Log(); got != want {
+		t.Errorf("log after dormant frames = %+v, want %+v", got, want)
+	}
+	if m.Attacking() {
+		t.Error("spent malware is attacking again")
+	}
+	if got := len(m.own.LastDetections()); got != dets {
+		t.Errorf("own pipeline ran while dormant: %d detections, had %d", got, dets)
+	}
+}
+
+// TestMultiShotMalwareKeepsWatching: without SingleShot a finished
+// attack does not retire the malware, so its own pipeline keeps
+// processing frames — dormancy is gated on SingleShot, not on having
+// fired.
+func TestMultiShotMalwareKeepsWatching(t *testing.T) {
+	m, next := spentMalware(t, false)
+	m.Process(sensor.NewImage(192, 108), next)
+	if got := len(m.own.LastDetections()); got != 0 {
+		t.Errorf("own pipeline did not process the blank post-attack frame: %d detections", got)
+	}
+}

@@ -143,6 +143,11 @@ func Parse(raw []byte) (*Artifact, error) {
 	if err := dec.Decode(&a); err != nil {
 		return nil, fmt.Errorf("policy: parse artifact: %w", err)
 	}
+	// The encoder omits an empty trained_on list, so decode [] as
+	// absent too: a parsed artifact must re-marshal to an equal one.
+	if len(a.TrainedOn) == 0 {
+		a.TrainedOn = nil
+	}
 	if err := a.Validate(); err != nil {
 		return nil, err
 	}

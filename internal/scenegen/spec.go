@@ -268,6 +268,11 @@ func Parse(data []byte) (*Spec, error) {
 	if err := dec.Decode(&s); err != nil {
 		return nil, fmt.Errorf("scenegen: parse spec: %w", err)
 	}
+	// The encoder omits an empty offsets list, so decode [] as absent
+	// too: a parsed spec must re-marshal to an equal one.
+	if s.Road != nil && len(s.Road.Offsets) == 0 {
+		s.Road.Offsets = nil
+	}
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}

@@ -27,8 +27,9 @@ import (
 // one allocation and Predict and Update make none: the filter runs per
 // track per frame. The arithmetic is the operation sequence of the
 // textbook out-of-place formulation over dense products that skip zero
-// left-hand terms, so state trajectories match the general-matrix
-// reference in the package tests bit for bit.
+// left-hand terms, written out for the model's structure, so state
+// trajectories match the general-matrix reference in the package tests
+// bit for bit.
 type Kalman struct {
 	x [4]float64  // state
 	p [16]float64 // covariance
@@ -40,7 +41,9 @@ type Kalman struct {
 	lastInnovNorm geom.Vec2
 }
 
-// The constant-velocity model, row-major.
+// The constant-velocity model, row-major. Predict and Update compute
+// their products with F, F', H and H' in closed form for exactly these
+// entries.
 var (
 	kfF = [16]float64{
 		1, 0, 1, 0,
@@ -103,107 +106,106 @@ func (k *Kalman) Reset(center geom.Vec2) {
 	}
 }
 
-// The products below are fixed-width kernels for dst = a*b, where a is
-// n x k and b is k x w for w = 4, 2 or 1, all row-major. Each output
-// element starts from a zero accumulator and adds a[i][l]*b[l][j] for
-// l = 0..k-1, skipping zero a[i][l]. That is the per-element operation
-// sequence of a general i-k-j product, which keeps results
-// bit-identical to it; the accumulators live in registers.
-
-func mul4(dst, a, b []float64, n, k int) {
-	for i := 0; i < n; i++ {
-		var d0, d1, d2, d3 float64
-		for l, v := range a[i*k : i*k+k] {
-			if v == 0 {
-				continue
-			}
-			r := b[l*4 : l*4+4]
-			d0 += v * r[0]
-			d1 += v * r[1]
-			d2 += v * r[2]
-			d3 += v * r[3]
-		}
-		d := dst[i*4 : i*4+4]
-		d[0], d[1], d[2], d[3] = d0, d1, d2, d3
-	}
-}
-
-func mul2(dst, a, b []float64, n, k int) {
-	for i := 0; i < n; i++ {
-		var d0, d1 float64
-		for l, v := range a[i*k : i*k+k] {
-			if v == 0 {
-				continue
-			}
-			r := b[l*2 : l*2+2]
-			d0 += v * r[0]
-			d1 += v * r[1]
-		}
-		d := dst[i*2 : i*2+2]
-		d[0], d[1] = d0, d1
-	}
-}
-
-func mul1(dst, a, b []float64, n, k int) {
-	for i := 0; i < n; i++ {
-		var d float64
-		for l, v := range a[i*k : i*k+k] {
-			if v == 0 {
-				continue
-			}
-			d += v * b[l]
-		}
-		dst[i] = d
-	}
-}
-
 // Predict advances the state one frame: x = Fx, P = FPF' + Q.
+//
+// The products are written out for the constant-velocity structure of
+// F: each output element is a zero accumulator plus the same non-zero
+// terms, in the same order, as the dense product that skips zero
+// left-hand entries, so results match the general-matrix reference bit
+// for bit. Multiplying by a constant 1 is exact, and a 0*v term added
+// to an accumulator (which starts at +0, so never holds -0) leaves it
+// unchanged, so entries of F, F' and Q that are 0 or 1 reduce to
+// selections and sums.
 func (k *Kalman) Predict() {
-	var x [4]float64
-	var fp, fpft [16]float64
-	mul1(x[:], kfF[:], k.x[:], 4, 4)
-	k.x = x
-	mul4(fp[:], kfF[:], k.p[:], 4, 4)
-	mul4(fpft[:], fp[:], kfFT[:], 4, 4)
-	for i := range k.p {
-		k.p[i] = fpft[i] + kfQ[i]
+	x, p := &k.x, &k.p
+	x[0], x[1], x[2], x[3] = 0+x[0]+x[2], 0+x[1]+x[3], 0+x[2], 0+x[3]
+	// FP adds the velocity rows of P to its position rows.
+	var fp [16]float64
+	for j := 0; j < 4; j++ {
+		fp[j] = 0 + p[j] + p[8+j]
+		fp[4+j] = 0 + p[4+j] + p[12+j]
+		fp[8+j] = 0 + p[8+j]
+		fp[12+j] = 0 + p[12+j]
+	}
+	// (FP)F' does the same to its columns; Q is diagonal.
+	for i := 0; i < 4; i++ {
+		r := fp[i*4 : i*4+4]
+		p[i*4], p[i*4+1], p[i*4+2], p[i*4+3] = 0+r[0]+r[2], 0+r[1]+r[3], 0+r[2], 0+r[3]
+	}
+	for i := 0; i < 16; i += 5 {
+		p[i] += kfQ[i]
 	}
 }
 
 // Update incorporates a measured center z with per-axis measurement
 // standard deviations (sigmaU, sigmaV) in pixels.
+//
+// H selects the position entries, so Hx, HP, HPH' and PH' are
+// selections and KH is the gain in the first two columns. Products
+// whose left operand is data (the S^-1 gain, Ky and (I - KH)P) keep
+// the reference's zero-skip, term for term.
 func (k *Kalman) Update(z geom.Vec2, sigmaU, sigmaV float64) error {
-	r := [4]float64{math.Max(sigmaU*sigmaU, 1), 0, 0, math.Max(sigmaV*sigmaV, 1)}
+	x, p := &k.x, &k.p
 	// Innovation y = z - Hx and its covariance S = HPH' + R.
-	var hx, y [2]float64
-	mul1(hx[:], kfH[:], k.x[:], 2, 4)
-	y[0], y[1] = z.X-hx[0], z.Y-hx[1]
-	var hp [8]float64
-	var hpht, s, sInv [4]float64
-	mul4(hp[:], kfH[:], k.p[:], 2, 4)
-	mul2(hpht[:], hp[:], kfHT[:], 2, 4)
-	for i := range s {
-		s[i] = hpht[i] + r[i]
+	y := [2]float64{z.X - (0 + x[0]), z.Y - (0 + x[1])}
+	s := [4]float64{
+		(0 + p[0]) + math.Max(sigmaU*sigmaU, 1), 0 + p[1],
+		0 + p[4], (0 + p[5]) + math.Max(sigmaV*sigmaV, 1),
 	}
+	var sInv [4]float64
 	if !invert2(&sInv, s) {
 		return errSingular
 	}
-	// Gain K = PH'S^-1, then x += Ky and P = (I - KH)P.
-	var pht, gain [8]float64
-	mul2(pht[:], k.p[:], kfHT[:], 4, 4)
-	mul2(gain[:], pht[:], sInv[:], 4, 2)
-	var gy [4]float64
-	mul1(gy[:], gain[:], y[:], 4, 2)
-	for i := range k.x {
-		k.x[i] += gy[i]
+	// Gain K = PH'S^-1 (rows of PH' are the first two columns of P),
+	// then x += Ky.
+	var gain [8]float64
+	for i := 0; i < 4; i++ {
+		var g0, g1 float64
+		if v := p[i*4]; v != 0 {
+			g0 += v * sInv[0]
+			g1 += v * sInv[1]
+		}
+		if v := p[i*4+1]; v != 0 {
+			g0 += v * sInv[2]
+			g1 += v * sInv[3]
+		}
+		gain[i*2], gain[i*2+1] = g0, g1
+		var gy float64
+		if g0 != 0 {
+			gy += g0 * y[0]
+		}
+		if g1 != 0 {
+			gy += g1 * y[1]
+		}
+		x[i] += gy
 	}
-	var kh, ikh [16]float64
-	mul4(kh[:], gain[:], kfH[:], 4, 2)
-	for i := range ikh {
-		ikh[i] = kfI[i] - kh[i]
-	}
+	// P = (I - KH)P. Row i of I - KH is (I[i][0] - K[i][0],
+	// I[i][1] - K[i][1], I[i][2], I[i][3]): two data entries, then the
+	// identity, whose single 1 (rows 2 and 3) selects a row of P.
 	var pNew [16]float64
-	mul4(pNew[:], ikh[:], k.p[:], 4, 4)
+	for i := 0; i < 4; i++ {
+		var d0, d1, d2, d3 float64
+		if a := kfI[i*4] - gain[i*2]; a != 0 {
+			d0 += a * p[0]
+			d1 += a * p[1]
+			d2 += a * p[2]
+			d3 += a * p[3]
+		}
+		if a := kfI[i*4+1] - gain[i*2+1]; a != 0 {
+			d0 += a * p[4]
+			d1 += a * p[5]
+			d2 += a * p[6]
+			d3 += a * p[7]
+		}
+		if i >= 2 {
+			r := p[i*4 : i*4+4]
+			d0 += r[0]
+			d1 += r[1]
+			d2 += r[2]
+			d3 += r[3]
+		}
+		pNew[i*4], pNew[i*4+1], pNew[i*4+2], pNew[i*4+3] = d0, d1, d2, d3
+	}
 	k.p = pNew
 
 	k.lastInnov = geom.V(y[0], y[1])

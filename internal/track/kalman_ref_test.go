@@ -349,3 +349,83 @@ func TestKalmanAllocs(t *testing.T) {
 		t.Errorf("Predict/Update/Reset: %v allocs, want 0", n)
 	}
 }
+
+// TestKalmanFirstUpdateAfterReset covers the update that runs on the
+// freshly reset, diagonal covariance: the cross-axis gain terms are
+// exactly 0, so every zero-skip branch of the gain, Ky and (I - KH)P
+// is taken. Centers include -0, which the zero accumulators of Hx and
+// Fx must fold to +0 as the reference does.
+func TestKalmanFirstUpdateAfterReset(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	centers := []geom.Vec2{geom.V(0, 0), geom.V(negZero, negZero), geom.V(96.5, 54.25), geom.V(-3, 200)}
+	zs := []geom.Vec2{geom.V(0, 0), geom.V(negZero, negZero), geom.V(97, 53), geom.V(-40, 160)}
+	sigmas := [][2]float64{{0, 0}, {1, 1}, {4.64, 4.688}, {20.1, 0.5}}
+	k := NewKalman(geom.V(1, 1))
+	for _, c := range centers {
+		// A coasting step straight after Reset sees the raw center.
+		k.Reset(c)
+		want := newRefKalman(c)
+		k.Predict()
+		want.Predict()
+		requireSameKalman(t, 1, k, want)
+		for _, z := range zs {
+			for _, sg := range sigmas {
+				k.Reset(c)
+				want := newRefKalman(c)
+				gerr, werr := k.Update(z, sg[0], sg[1]), want.Update(z, sg[0], sg[1])
+				if gerr != nil || werr != nil {
+					t.Fatalf("center %v z %v sigmas %v: error %v, reference %v", c, z, sg, gerr, werr)
+				}
+				requireSameKalman(t, 1, k, want)
+				for _, g := range []float64{want.gain.At(0, 1), want.gain.At(1, 0), want.gain.At(2, 1), want.gain.At(3, 0)} {
+					if g != 0 {
+						t.Fatalf("center %v: reference cross-axis gain %v, want exactly 0", c, g)
+					}
+				}
+				k.Predict()
+				want.Predict()
+				requireSameKalman(t, 2, k, want)
+			}
+		}
+	}
+}
+
+// TestKalmanPredictOnlyMatchesReference coasts the filter for 1000
+// frames without a measurement, as a track does while its detections
+// are missing, from a fresh and from a converged covariance.
+func TestKalmanPredictOnlyMatchesReference(t *testing.T) {
+	for _, updates := range []int{0, 30} {
+		c := geom.V(80, 40)
+		got, want := NewKalman(c), newRefKalman(c)
+		for i := 0; i < updates; i++ {
+			z := geom.V(80+1.5*float64(i), 40-0.25*float64(i))
+			got.Predict()
+			want.Predict()
+			if gerr, werr := got.Update(z, 4.64, 4.688), want.Update(z, 4.64, 4.688); gerr != nil || werr != nil {
+				t.Fatalf("update %d: error %v, reference %v", i, gerr, werr)
+			}
+		}
+		for step := 1; step <= 1000; step++ {
+			got.Predict()
+			want.Predict()
+			requireSameKalman(t, step, got, want)
+		}
+	}
+}
+
+// BenchmarkKalman runs one Predict and one Update per op on a filter
+// tracking a target in constant-velocity motion.
+func BenchmarkKalman(b *testing.B) {
+	var zs [64]geom.Vec2
+	rng := stats.NewRNG(3)
+	for i := range zs {
+		zs[i] = geom.V(40+1.5*float64(i)+rng.Normal(0, 2), 60-0.5*float64(i)+rng.Normal(0, 2))
+	}
+	k := NewKalman(zs[0])
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k.Predict()
+		_ = k.Update(zs[i%len(zs)], 4.64, 4.688)
+	}
+}
