@@ -10,8 +10,8 @@
 // queue and runs them one after another, so per-worker state
 // (WithWorkerState) is reused across episodes without locking.
 //
-// Determinism is the central contract: each job receives a seed
-// derived from (baseSeed, jobIndex) only, and RunAll returns results
+// Determinism is the central contract: each job receives the seed
+// baseSeed + jobIndex, and RunAll returns results
 // in submission order, so aggregates are bit-identical regardless of
 // worker count or completion order.
 package engine
@@ -55,21 +55,10 @@ type Result struct {
 	Err error
 }
 
-// SeedFunc derives a job's seed from the batch base seed and the job
-// index. It must be a pure function of its arguments — that is what
-// makes a batch replay exactly under any worker count.
-type SeedFunc func(baseSeed int64, index int) int64
-
-// AdditiveSeeds is the default derivation, baseSeed + index. It
-// matches the repo's historical sequential campaigns, so a parallel
-// campaign reproduces the sequential results bit for bit.
-func AdditiveSeeds(baseSeed int64, index int) int64 {
-	return baseSeed + int64(index)
-}
-
-// SplitMixSeeds is an alternative derivation that decorrelates nearby
-// indices with a SplitMix64 finalizer, for workloads where adjacent
-// additive seeds would correlate.
+// SplitMixSeeds derives decorrelated seeds for nearby indices with a
+// SplitMix64 finalizer, for workloads where adjacent additive seeds
+// would correlate (policy training, trace IDs). Engine jobs themselves
+// run with baseSeed + index.
 func SplitMixSeeds(baseSeed int64, index int) int64 {
 	z := uint64(baseSeed) + uint64(index)*0x9e3779b97f4a7c15
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
@@ -82,7 +71,6 @@ type Engine struct {
 	workers     int
 	ctx         context.Context
 	progress    func(done, total int)
-	seedFn      SeedFunc
 	workerState func() any
 }
 
@@ -110,15 +98,6 @@ func WithContext(ctx context.Context) Option {
 // job completes, with the number done and the batch total.
 func WithProgress(fn func(done, total int)) Option {
 	return func(e *Engine) { e.progress = fn }
-}
-
-// WithSeedDerivation replaces the default AdditiveSeeds derivation.
-func WithSeedDerivation(fn SeedFunc) Option {
-	return func(e *Engine) {
-		if fn != nil {
-			e.seedFn = fn
-		}
-	}
 }
 
 // WithWorkerState registers a factory producing one state value per
@@ -159,12 +138,11 @@ func (e *Engine) With(opts ...Option) *Engine {
 func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
 
 // New creates an Engine. With no options it uses DefaultWorkers
-// workers, a background context and AdditiveSeeds.
+// workers and a background context.
 func New(opts ...Option) *Engine {
 	e := &Engine{
 		workers: DefaultWorkers(),
 		ctx:     context.Background(),
-		seedFn:  AdditiveSeeds,
 	}
 	for _, opt := range opts {
 		opt(e)
@@ -232,7 +210,7 @@ func (e *Engine) Stream(baseSeed int64, jobs []Job) <-chan Result {
 				total   obs.CounterHandle
 			}
 			for i := range idx {
-				seed := e.seedFn(baseSeed, i)
+				seed := baseSeed + int64(i)
 				en := obs.Enabled()
 				var start time.Time
 				if en {

@@ -62,20 +62,18 @@ func TestSeedDerivation(t *testing.T) {
 			t.Errorf("result %d = %+v, want additive seed %d", i, r, 100+int64(i))
 		}
 	}
+}
 
-	results, err = New(WithSeedDerivation(SplitMixSeeds)).RunAll(100, jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestSplitMixSeedsDistinct: the derivation the policy trainer and
+// trace IDs use spreads nearby indices apart without collisions.
+func TestSplitMixSeedsDistinct(t *testing.T) {
 	seen := map[int64]bool{}
-	for i, r := range results {
-		if r.Seed != SplitMixSeeds(100, i) {
-			t.Errorf("splitmix seed %d = %d, want %d", i, r.Seed, SplitMixSeeds(100, i))
+	for i := 0; i < 1000; i++ {
+		seed := SplitMixSeeds(100, i)
+		if seen[seed] {
+			t.Fatalf("splitmix seed collision at index %d", i)
 		}
-		if seen[r.Seed] {
-			t.Errorf("splitmix seed collision at index %d", i)
-		}
-		seen[r.Seed] = true
+		seen[seed] = true
 	}
 }
 
@@ -215,7 +213,7 @@ func TestStreamOrderedDeliversInSubmissionOrder(t *testing.T) {
 		if r.Index != next {
 			t.Fatalf("result %d arrived out of order (want index %d)", r.Index, next)
 		}
-		if r.Value.(int64) != AdditiveSeeds(77, r.Index) {
+		if r.Value.(int64) != 77+int64(r.Index) {
 			t.Errorf("index %d carries seed value %v", r.Index, r.Value)
 		}
 		next++

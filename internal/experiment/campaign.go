@@ -275,16 +275,10 @@ func execute(eng *engine.Engine, rr recordedRun) (results.CampaignRecord, error)
 	return rec, errors.Join(errs...)
 }
 
-// RunCampaign executes runs episodes of the campaign with seeds derived
-// from baseSeed, on a default engine (one worker per CPU). The
-// aggregate is bit-identical to a sequential run: episode seeds depend
-// only on (baseSeed, index) and results fold in index order.
-func RunCampaign(c Campaign, runs int, baseSeed int64, oracles map[core.Vector]core.Oracle, opts ...RunOption) (CampaignResult, error) {
-	return RunCampaignOn(engine.New(), c, runs, baseSeed, oracles, opts...)
-}
-
-// RunCampaignOn executes the campaign's episodes on eng, which
-// controls worker count, cancellation and progress reporting. On
+// RunCampaignOn executes runs episodes of the campaign on eng, which
+// controls worker count, cancellation and progress reporting. Episode
+// seeds depend only on (baseSeed, index) and results fold in index
+// order, so the aggregate is identical for any worker count. On
 // cancellation the partial aggregate is returned along with the
 // context's error joined onto any per-run failures. Options attach a
 // results sink and resume a previously persisted campaign.
@@ -328,11 +322,6 @@ func RunCampaignOn(eng *engine.Engine, c Campaign, runs int, baseSeed int64, ora
 		},
 	})
 	return CampaignResult{Campaign: c, CampaignRecord: rec}, err
-}
-
-// RunGolden executes attack-free episodes on a default engine.
-func RunGolden(src scenario.Source, runs int, baseSeed int64, opts ...RunOption) (GoldenResult, error) {
-	return RunGoldenOn(engine.New(), src, runs, baseSeed, opts...)
 }
 
 // RunGoldenOn executes attack-free episodes on eng. Records persist

@@ -68,15 +68,6 @@ func DefaultOracleSpecs() []OracleSpec {
 	}
 }
 
-// GenerateOracleData runs the spec's forced attacks on a default
-// engine and harvests one training sample per (launch state, elapsed
-// frames) pair: the input is the paper's [delta, vrel, arel, k] and
-// the label is the realized ground-truth safety potential k frames
-// after launch.
-func GenerateOracleData(spec OracleSpec, baseSeed int64) (nn.Dataset, error) {
-	return GenerateOracleDataOn(engine.New(), spec, baseSeed)
-}
-
 // forcedRun is one grid point of a training sweep.
 type forcedRun struct {
 	sweep   OracleSweep
@@ -84,7 +75,10 @@ type forcedRun struct {
 	kMax    int
 }
 
-// GenerateOracleDataOn runs the spec's forced attacks on eng. The
+// GenerateOracleDataOn runs the spec's forced attacks on eng and
+// harvests one training sample per (launch state, elapsed frames) pair:
+// the input is the paper's [delta, vrel, arel, k] and the label is the
+// realized ground-truth safety potential k frames after launch. The
 // sweep grid is flattened into one batch of engine jobs; the dataset
 // folds in grid order, so it is identical for any worker count (and to
 // the historical sequential generator, whose j-th run used seed
@@ -141,16 +135,9 @@ type TrainedOracle struct {
 	Samples int
 }
 
-// TrainOracles generates data and trains one network per attack vector,
-// using the paper's architecture and 60/40 split. Data generation runs
-// on a default engine.
-func TrainOracles(specs []OracleSpec, baseSeed int64, cfg nn.TrainConfig) (map[core.Vector]core.Oracle, []TrainedOracle, error) {
-	return TrainOraclesOn(engine.New(), specs, baseSeed, cfg)
-}
-
 // TrainOraclesOn generates training data on eng (the episode fan-out
-// dominates the wall clock) and trains one network per attack vector
-// sequentially, so the fitted weights stay deterministic in baseSeed.
+// dominates the wall clock) and trains one network per attack vector,
+// with the paper's architecture and 60/40 split, sequentially, so the fitted weights stay deterministic in baseSeed.
 func TrainOraclesOn(eng *engine.Engine, specs []OracleSpec, baseSeed int64, cfg nn.TrainConfig) (map[core.Vector]core.Oracle, []TrainedOracle, error) {
 	oracles := make(map[core.Vector]core.Oracle, len(specs))
 	infos := make([]TrainedOracle, 0, len(specs))

@@ -1,9 +1,9 @@
 //go:build !unix
 
-package segstore
+package jsonlog
 
 import "os"
 
 // lockFile is a no-op where flock is unavailable; single-writer
-// discipline on the store dir is then the operator's responsibility.
+// discipline on the directory is then the operator's responsibility.
 func lockFile(*os.File) error { return nil }

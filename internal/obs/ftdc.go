@@ -111,11 +111,26 @@ func sameSchema(names []string, samples []Sample) bool {
 	return true
 }
 
-// Decode reads a full capture stream back into snapshots.
+// maxNameLen bounds a decoded series name, so a corrupt length cannot
+// ask for an arbitrarily large allocation.
+const maxNameLen = 1 << 16
+
+// Decode reads a capture stream back into snapshots. A capture cut
+// short (a crashed process, a copy taken mid-write) decodes to every
+// snapshot completed before the cut: an EOF inside the final chunk, or
+// inside the magic, ends the decode without error, as a torn final
+// record does in trace.DecodeAll. Bad magic, an unknown chunk kind and
+// data before a schema are errors.
 func Decode(r io.Reader) ([]Snapshot, error) {
+	// torn reports an EOF inside a chunk: the tail of a cut capture.
+	torn := func(err error) bool { return err == io.EOF || err == io.ErrUnexpectedEOF }
 	br := bufio.NewReader(r)
 	magic := make([]byte, len(ftdcMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
+	n, err := io.ReadFull(br, magic)
+	if torn(err) && string(magic[:n]) == ftdcMagic[:n] {
+		return nil, nil // empty, or cut inside the magic
+	}
+	if err != nil && !torn(err) {
 		return nil, fmt.Errorf("ftdc: reading magic: %w", err)
 	}
 	if string(magic) != ftdcMagic {
@@ -138,28 +153,43 @@ func Decode(r io.Reader) ([]Snapshot, error) {
 		switch kind {
 		case 'S':
 			n, err := binary.ReadUvarint(br)
+			if torn(err) {
+				return out, nil
+			}
 			if err != nil {
 				return nil, fmt.Errorf("ftdc: schema count: %w", err)
 			}
-			names = make([]string, n)
-			for i := range names {
+			names = []string{}
+			for i := uint64(0); i < n; i++ {
 				l, err := binary.ReadUvarint(br)
+				if torn(err) {
+					return out, nil
+				}
 				if err != nil {
 					return nil, fmt.Errorf("ftdc: name length: %w", err)
 				}
+				if l > maxNameLen {
+					return nil, fmt.Errorf("ftdc: name length %d exceeds limit", l)
+				}
 				b := make([]byte, l)
 				if _, err := io.ReadFull(br, b); err != nil {
+					if torn(err) {
+						return out, nil
+					}
 					return nil, fmt.Errorf("ftdc: name bytes: %w", err)
 				}
-				names[i] = string(b)
+				names = append(names, string(b))
 			}
-			prev = make([]uint64, n)
+			prev = make([]uint64, len(names))
 			prevTS = 0
 		case 'D':
 			if names == nil {
 				return nil, errors.New("ftdc: data chunk before schema")
 			}
 			dts, err := binary.ReadVarint(br)
+			if torn(err) {
+				return out, nil
+			}
 			if err != nil {
 				return nil, fmt.Errorf("ftdc: timestamp delta: %w", err)
 			}
@@ -167,6 +197,9 @@ func Decode(r io.Reader) ([]Snapshot, error) {
 			snap := Snapshot{TS: prevTS, Metrics: make(map[string]float64, len(names))}
 			for i, name := range names {
 				d, err := binary.ReadVarint(br)
+				if torn(err) {
+					return out, nil
+				}
 				if err != nil {
 					return nil, fmt.Errorf("ftdc: series delta: %w", err)
 				}

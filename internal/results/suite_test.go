@@ -72,6 +72,43 @@ func TestFileStoreTruncatesTornTail(t *testing.T) {
 	}
 }
 
+// TestFileStoreEndsUnterminatedFinalLine: a crash can leave a complete
+// record whose newline never reached the disk. Reopening must end that
+// line, so the next append neither runs into it nor, on the open after,
+// turns both records into one malformed torn tail that is cut away.
+func TestFileStoreEndsUnterminatedFinalLine(t *testing.T) {
+	dir := t.TempDir()
+	s := openFileStore(t, dir)
+	storetest.Fill(t, s, "a", 3)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "store.jsonl")
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, raw[:len(raw)-1], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s = openFileStore(t, dir)
+	storetest.Fill(t, s, "b", 2)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s = openFileStore(t, dir)
+	defer s.Close()
+	for name, want := range map[string]int{"a": 3, "b": 2} {
+		eps, err := s.Episodes(name)
+		if err != nil || len(eps) != want {
+			t.Errorf("%s: %d episodes after reopen (%v), want %d", name, len(eps), err, want)
+		}
+	}
+	if recs, err := s.Campaigns(); err != nil || len(recs) != 2 {
+		t.Errorf("%d campaigns after reopen (%v), want 2", len(recs), err)
+	}
+}
+
 func TestMemStoreStats(t *testing.T) {
 	s := results.NewMemStore()
 	st, err := s.Stats()

@@ -11,6 +11,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/robotack/robotack/internal/jsonlog"
 	"github.com/robotack/robotack/internal/obs"
 	"github.com/robotack/robotack/internal/obs/trace"
 )
@@ -45,13 +46,11 @@ type Queue struct {
 	log           *slog.Logger
 	tracer        *trace.Tracer
 
-	compactThreshold int64
-
 	mu      sync.Mutex
 	jobs    map[int]*Job
 	pending []int // queued job ids, FIFO; requeues go to the front
 	nextID  int
-	journal *os.File
+	journal *jsonlog.Log
 	lockf   *os.File // held for the queue's lifetime (dir exclusivity)
 	subs    map[int]map[chan Event]bool
 	rates   map[int]*rateState         // per running job, derived, unjournaled
@@ -90,19 +89,6 @@ func WithLeaseTTL(d time.Duration) Option {
 	}
 }
 
-// DefaultCompactionThreshold is the journal size (bytes) above which
-// Open rewrites queue.jsonl to its last-wins state. Long-lived queues
-// append one snapshot line per state transition, so the journal grows
-// without bound while the live state stays small; startup compaction
-// caps replay time and disk use.
-const DefaultCompactionThreshold = 1 << 20
-
-// WithCompactionThreshold overrides the startup-compaction trigger
-// size in bytes. Zero or negative disables compaction.
-func WithCompactionThreshold(n int64) Option {
-	return func(q *Queue) { q.compactThreshold = n }
-}
-
 // WithLogger sets the queue's structured logger: lease churn, journal
 // failures and job lifecycle transitions are logged with job-id,
 // worker and attempt attributes. Default: discard.
@@ -122,14 +108,13 @@ func WithLogger(l *slog.Logger) Option {
 // process).
 func Open(dir string, opts ...Option) (*Queue, error) {
 	q := &Queue{
-		maxConcurrent:    1,
-		leaseTTL:         30 * time.Second,
-		compactThreshold: DefaultCompactionThreshold,
-		log:              obs.Discard(),
-		jobs:             make(map[int]*Job),
-		subs:             make(map[int]map[chan Event]bool),
-		rates:            make(map[int]*rateState),
-		cancels:          make(map[int]context.CancelFunc),
+		maxConcurrent: 1,
+		leaseTTL:      30 * time.Second,
+		log:           obs.Discard(),
+		jobs:          make(map[int]*Job),
+		subs:          make(map[int]map[chan Event]bool),
+		rates:         make(map[int]*rateState),
+		cancels:       make(map[int]context.CancelFunc),
 	}
 	for _, opt := range opts {
 		opt(q)
@@ -170,7 +155,7 @@ func Open(dir string, opts ...Option) (*Queue, error) {
 			j.State = StateQueued
 			j.Worker = ""
 			j.lease = time.Time{}
-			if err := appendJob(q.journal, j); err != nil {
+			if err := q.journalJob(j); err != nil {
 				closeAll()
 				return nil, err
 			}
@@ -180,14 +165,10 @@ func Open(dir string, opts ...Option) (*Queue, error) {
 	// state transition ever made; above the threshold, rewrite it to
 	// one last-wins line per job. Replay of the compacted journal is
 	// equivalent by construction — it IS the replayed state.
-	if q.journal != nil && q.compactThreshold > 0 {
-		if st, err := q.journal.Stat(); err == nil && st.Size() > q.compactThreshold {
-			nf, err := compactJournal(dir, q.journal, q.jobs)
-			if err != nil {
-				closeAll()
-				return nil, err
-			}
-			q.journal = nf
+	if q.journal != nil && q.journal.Size() > compactThreshold {
+		if err := compactJournal(q.journal, q.jobs); err != nil {
+			closeAll()
+			return nil, err
 		}
 	}
 	ids := make([]int, 0, len(q.jobs))
@@ -299,7 +280,7 @@ func (q *Queue) Submit(req Request) (Job, error) {
 	}
 	q.jobs[j.ID] = j
 	q.pending = append(q.pending, j.ID)
-	if err := appendJob(q.journal, j); err != nil {
+	if err := q.journalJob(j); err != nil {
 		// An unjournaled job would silently vanish on restart; refuse it.
 		delete(q.jobs, j.ID)
 		q.pending = q.pending[:len(q.pending)-1]
@@ -469,7 +450,7 @@ func (q *Queue) publishLocked(j *Job) {
 }
 
 func (q *Queue) journalLocked(j *Job) {
-	if err := appendJob(q.journal, j); err != nil {
+	if err := q.journalJob(j); err != nil {
 		q.log.Error("journal append failed", "job", j.ID, "err", err)
 	}
 }

@@ -560,7 +560,7 @@ func TestQueueDirLocked(t *testing.T) {
 // indistinguishable from replaying the full transition history.
 func TestJournalCompactionReplayEquivalent(t *testing.T) {
 	dir := t.TempDir()
-	q0, err := runq.Open(dir, runq.WithCompactionThreshold(0)) // build history, no compaction
+	q0, err := runq.Open(dir) // a few KiB of history: below the compaction trigger
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -583,16 +583,15 @@ func TestJournalCompactionReplayEquivalent(t *testing.T) {
 	cancel()
 
 	path := filepath.Join(dir, "queue.jsonl")
-	before, err := os.ReadFile(path)
+	history, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantLines := len(bytes.Split(bytes.TrimSpace(before), []byte("\n")))
 
 	// Replay WITHOUT compaction: the reference state. (Shutdown
 	// requeued the jobs that were still queued/running, so a plain
 	// replay is already deterministic.)
-	qRef, err := runq.Open(dir, runq.WithCompactionThreshold(0))
+	qRef, err := runq.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -600,9 +599,19 @@ func TestJournalCompactionReplayEquivalent(t *testing.T) {
 	if err := qRef.Close(); err != nil {
 		t.Fatal(err)
 	}
+	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, history) {
+		t.Fatalf("a journal below the trigger was rewritten (%v)", err)
+	}
 
-	// Replay WITH a tiny threshold: compacts on open.
-	qC, err := runq.Open(dir, runq.WithCompactionThreshold(1))
+	// Repeat the whole history until the journal tops the 1 MiB
+	// trigger. Every repetition ends each job on its last state, so the
+	// last-wins state is the reference's; the next open compacts.
+	padded := bytes.Repeat(history, (1<<20)/len(history)+1)
+	if err := os.WriteFile(path, padded, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	wantLines := len(bytes.Split(bytes.TrimSpace(padded), []byte("\n")))
+	qC, err := runq.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -628,7 +637,7 @@ func TestJournalCompactionReplayEquivalent(t *testing.T) {
 
 	// The compacted journal replays identically again (idempotence),
 	// and appending to it works.
-	qAgain, err := runq.Open(dir, runq.WithCompactionThreshold(0))
+	qAgain, err := runq.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

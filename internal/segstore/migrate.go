@@ -1,14 +1,10 @@
 package segstore
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"os"
 
+	"github.com/robotack/robotack/internal/jsonlog"
 	"github.com/robotack/robotack/internal/results"
 )
 
@@ -18,8 +14,9 @@ import (
 // episodes append in file order, so a log whose episodes were written
 // in index order (the normal case) lands directly on the sorted fast
 // path. The destination must be empty or nonexistent: migration never
-// merges into live data. A torn final line in the source is tolerated,
-// matching the readers.
+// merges into live data. The source is replayed exactly as results.Load
+// replays it (results.ReplayInto), so a torn final line is tolerated
+// and anything Load refuses, migration refuses too.
 func MigrateFromJSONL(src, dst string, opts ...Option) (migrated results.StoreStats, err error) {
 	fi, statErr := os.Stat(dst)
 	if statErr == nil && fi.IsDir() {
@@ -49,44 +46,8 @@ func MigrateFromJSONL(src, dst string, opts ...Option) (migrated results.StoreSt
 		}
 	}()
 
-	type envelope struct {
-		Kind     string                  `json:"kind"`
-		Episode  *results.EpisodeRecord  `json:"episode,omitempty"`
-		Campaign *results.CampaignRecord `json:"campaign,omitempty"`
-	}
-	r := bufio.NewReaderSize(f, 1<<20)
-	lineno := 0
-	for {
-		line, rerr := r.ReadBytes('\n')
-		atEOF := errors.Is(rerr, io.EOF)
-		if rerr != nil && !atEOF {
-			return results.StoreStats{}, fmt.Errorf("segstore: migrate: read %s: %w", src, rerr)
-		}
-		lineno++
-		if trimmed := bytes.TrimSpace(line); len(trimmed) > 0 {
-			var l envelope
-			if jerr := json.Unmarshal(trimmed, &l); jerr != nil {
-				if atEOF {
-					break // torn tail from a crashed writer: tolerated
-				}
-				return results.StoreStats{}, fmt.Errorf("segstore: migrate: %s:%d: %w", src, lineno, jerr)
-			}
-			switch {
-			case l.Kind == "episode" && l.Episode != nil:
-				if aerr := store.Append(*l.Episode); aerr != nil {
-					return results.StoreStats{}, fmt.Errorf("segstore: migrate: %s:%d: %w", src, lineno, aerr)
-				}
-			case l.Kind == kindCampaign && l.Campaign != nil:
-				if perr := store.PutCampaign(*l.Campaign); perr != nil {
-					return results.StoreStats{}, fmt.Errorf("segstore: migrate: %s:%d: %w", src, lineno, perr)
-				}
-			default:
-				return results.StoreStats{}, fmt.Errorf("segstore: migrate: %s:%d: unknown record kind %q", src, lineno, l.Kind)
-			}
-		}
-		if atEOF {
-			break
-		}
+	if _, err := jsonlog.Scan(f, results.ReplayInto(store, src)); err != nil {
+		return results.StoreStats{}, fmt.Errorf("segstore: migrate: %w", err)
 	}
 	if err := store.Sync(); err != nil {
 		return results.StoreStats{}, err

@@ -20,13 +20,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
 	"sync"
 	"sync/atomic"
 
+	"github.com/robotack/robotack/internal/jsonlog"
 	"github.com/robotack/robotack/internal/results"
 )
 
@@ -34,13 +34,11 @@ const (
 	// markerFile identifies a directory as a segstore (and carries the
 	// layout version for future migrations).
 	markerFile = "segstore.json"
-	// lockFileName is the store's exclusivity lock — its own file, never
-	// renamed, so generation swaps and log compaction happen underneath
-	// it (the runq queue.lock discipline).
+	// lockFileName is the store's exclusivity lock (jsonlog.LockDir).
 	lockFileName = "store.lock"
 	// campaignsFile is the aggregates log at the store root: the same
-	// last-wins JSONL envelope as FileStore, holding only campaign
-	// records (episodes live in the shards).
+	// last-wins JSONL envelope as FileStore (results.Envelope), holding
+	// only campaign records (episodes live in the shards).
 	campaignsFile = "campaigns.jsonl"
 	// shardsDir holds one directory per campaign.
 	shardsDir = "c"
@@ -57,15 +55,6 @@ const (
 type marker struct {
 	V int `json:"v"`
 }
-
-// logLine is the campaigns.jsonl envelope — identical on the wire to
-// FileStore's campaign lines, so migrated aggregates are byte-familiar.
-type logLine struct {
-	Kind     string                  `json:"kind"`
-	Campaign *results.CampaignRecord `json:"campaign,omitempty"`
-}
-
-const kindCampaign = "campaign"
 
 // OpenStats reports what Open had to read: the proof that the store is
 // index-driven. A clean reopen scans (nearly) zero raw bytes no matter
@@ -118,9 +107,10 @@ type Store struct {
 	shards    map[string]*shard
 	campaigns map[string]results.CampaignRecord
 
-	// logMu serializes campaigns.jsonl appends and compaction.
+	// logMu serializes campaigns.jsonl appends and compaction; log is
+	// nil on a read-only store.
 	logMu     sync.Mutex
-	logF      *os.File
+	log       *jsonlog.Log
 	logBytes  int64
 	liveBytes map[string]int64 // per-campaign live line length
 
@@ -166,8 +156,8 @@ func open(dir string, ro bool, opts ...Option) (*Store, error) {
 		return nil, err
 	}
 	fail := func(err error) (*Store, error) {
-		if s.logF != nil {
-			s.logF.Close()
+		if s.log != nil {
+			s.log.Close()
 		}
 		if s.lockF != nil {
 			s.lockF.Close()
@@ -175,15 +165,9 @@ func open(dir string, ro bool, opts ...Option) (*Store, error) {
 		return nil, err
 	}
 	if !ro {
-		lockPath := filepath.Join(dir, lockFileName)
-		lf, err := os.OpenFile(lockPath, os.O_CREATE|os.O_RDWR, 0o644)
+		lf, err := jsonlog.LockDir(dir, lockFileName)
 		if err != nil {
-			return fail(fmt.Errorf("segstore: open lock: %w", err))
-		}
-		if err := lockFile(lf); err != nil {
-			lf.Close()
-			s.lockF = nil
-			return fail(fmt.Errorf("segstore: %s: %w", lockPath, err))
+			return fail(fmt.Errorf("segstore: %w", err))
 		}
 		s.lockF = lf
 	}
@@ -244,55 +228,43 @@ func (s *Store) checkMarker() error {
 			return fmt.Errorf("segstore: refusing to initialize non-empty directory %s", s.dir)
 		}
 	}
-	return writeFileAtomic(path, []byte("{\"v\":1}\n"))
+	return jsonlog.WriteFileAtomic(path, []byte("{\"v\":1}\n"))
 }
 
 // openLog replays campaigns.jsonl into the aggregate map.
 func (s *Store) openLog() error {
 	path := filepath.Join(s.dir, campaignsFile)
-	var raw []byte
-	if s.ro {
-		b, err := os.ReadFile(path)
-		if err != nil && !errors.Is(err, os.ErrNotExist) {
-			return fmt.Errorf("segstore: %s: %w", path, err)
+	replay := func(lineno int, line []byte) error {
+		var l results.Envelope
+		if err := jsonlog.Decode(line, &l); err != nil {
+			return fmt.Errorf("%s:%d: %w", path, lineno, err)
 		}
-		raw = b
-	} else {
-		f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
-		if err != nil {
-			return fmt.Errorf("segstore: open campaigns log: %w", err)
-		}
-		s.logF = f
-		if raw, err = io.ReadAll(f); err != nil {
-			return fmt.Errorf("segstore: %s: %w", path, err)
-		}
-	}
-	good, err := results.ScanJSONL(raw, func(lineno int, line []byte) error {
-		var l logLine
-		if err := json.Unmarshal(line, &l); err != nil {
-			return fmt.Errorf("segstore: %s:%d: %w: %w", path, lineno, results.ErrMalformedLine, err)
-		}
-		if l.Kind != kindCampaign || l.Campaign == nil {
-			return fmt.Errorf("segstore: %s:%d: unknown record kind %q", path, lineno, l.Kind)
+		if l.Kind != results.KindCampaign || l.Campaign == nil {
+			return fmt.Errorf("%s:%d: unknown record kind %q", path, lineno, l.Kind)
 		}
 		if l.Campaign.V > results.Version {
-			return fmt.Errorf("segstore: %s:%d: campaign record v%d is newer than supported v%d",
+			return fmt.Errorf("%s:%d: campaign record v%d is newer than supported v%d",
 				path, lineno, l.Campaign.V, results.Version)
 		}
 		s.campaigns[l.Campaign.Name] = *l.Campaign
 		s.liveBytes[l.Campaign.Name] = int64(len(line)) + 1
 		return nil
-	})
-	if err != nil {
-		return err
 	}
-	if !s.ro && good < len(raw) {
-		if err := s.logF.Truncate(int64(good)); err != nil {
-			return fmt.Errorf("segstore: %s: drop torn tail: %w", path, err)
+	var good int64
+	var err error
+	if s.ro {
+		good, err = jsonlog.Load(path, replay)
+		if errors.Is(err, os.ErrNotExist) {
+			err = nil
 		}
+	} else if s.log, err = jsonlog.Open(path, replay); err == nil {
+		good = s.log.Size()
 	}
-	s.logBytes = int64(good)
-	s.openStats.IndexBytes += int64(good)
+	if err != nil {
+		return fmt.Errorf("segstore: %w", err)
+	}
+	s.logBytes = good
+	s.openStats.IndexBytes += good
 	return nil
 }
 
@@ -378,7 +350,7 @@ func (s *Store) getShard(name string, create bool) (*shard, error) {
 	if err := os.MkdirAll(genDir, 0o755); err != nil {
 		return nil, fmt.Errorf("segstore: create shard: %w", err)
 	}
-	if err := writeFileAtomic(filepath.Join(dir, currentFile), []byte(genName(0)+"\n")); err != nil {
+	if err := jsonlog.WriteFileAtomic(filepath.Join(dir, currentFile), []byte(genName(0)+"\n")); err != nil {
 		return nil, err
 	}
 	sh = &shard{
@@ -457,21 +429,17 @@ func (s *Store) PutCampaign(c results.CampaignRecord) error {
 	if c.V > results.Version {
 		return fmt.Errorf("segstore: campaign record v%d is newer than supported v%d", c.V, results.Version)
 	}
-	raw, err := json.Marshal(logLine{Kind: kindCampaign, Campaign: &c})
-	if err != nil {
-		return fmt.Errorf("segstore: encode campaign: %w", err)
-	}
-	raw = append(raw, '\n')
 	s.logMu.Lock()
 	defer s.logMu.Unlock()
-	if _, err := s.logF.Write(raw); err != nil {
+	n, err := s.log.Append(results.Envelope{Kind: results.KindCampaign, Campaign: &c})
+	s.logBytes += int64(n)
+	if err != nil {
 		return fmt.Errorf("segstore: append campaign: %w", err)
 	}
-	s.logBytes += int64(len(raw))
 	s.mu.Lock()
 	s.campaigns[c.Name] = c
 	s.mu.Unlock()
-	s.liveBytes[c.Name] = int64(len(raw))
+	s.liveBytes[c.Name] = int64(n)
 	var live int64
 	for _, n := range s.liveBytes {
 		live += n
@@ -495,24 +463,16 @@ func (s *Store) compactLogLocked() error {
 	var buf []byte
 	live := make(map[string]int64, len(recs))
 	for i := range recs {
-		raw, err := json.Marshal(logLine{Kind: kindCampaign, Campaign: &recs[i]})
+		line, err := jsonlog.Line(results.Envelope{Kind: results.KindCampaign, Campaign: &recs[i]})
 		if err != nil {
 			return fmt.Errorf("segstore: encode campaign: %w", err)
 		}
-		buf = append(buf, raw...)
-		buf = append(buf, '\n')
-		live[recs[i].Name] = int64(len(raw)) + 1
+		buf = append(buf, line...)
+		live[recs[i].Name] = int64(len(line))
 	}
-	path := filepath.Join(s.dir, campaignsFile)
-	if err := writeFileAtomic(path, buf); err != nil {
-		return err
+	if err := s.log.Rewrite(buf); err != nil {
+		return fmt.Errorf("segstore: compact campaigns log: %w", err)
 	}
-	s.logF.Close() // old inode is gone from the directory
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("segstore: reopen campaigns log: %w", err)
-	}
-	s.logF = f
 	s.logBytes = int64(len(buf))
 	s.liveBytes = live
 	return nil
@@ -560,14 +520,15 @@ func (s *Store) episodesLocked(sh *shard) ([]results.EpisodeRecord, error) {
 		fold = make(map[int]results.EpisodeRecord, n)
 	}
 	read := func(seq int) error {
-		raw, err := os.ReadFile(sh.segPath(seq))
+		f, err := os.Open(sh.segPath(seq))
 		if err != nil {
 			return fmt.Errorf("segstore: read segment: %w", err)
 		}
-		_, err = results.ScanJSONL(raw, func(lineno int, line []byte) error {
+		defer f.Close()
+		_, err = jsonlog.Scan(f, func(lineno int, line []byte) error {
 			var ep results.EpisodeRecord
-			if err := json.Unmarshal(line, &ep); err != nil {
-				return fmt.Errorf("%w: %w", results.ErrMalformedLine, err)
+			if err := jsonlog.Decode(line, &ep); err != nil {
+				return err
 			}
 			if fast {
 				out = append(out, ep)
@@ -754,10 +715,8 @@ func (s *Store) Sync() error {
 	}
 	var firstErr error
 	s.logMu.Lock()
-	if s.logF != nil {
-		if err := s.logF.Sync(); err != nil {
-			firstErr = err
-		}
+	if s.log != nil {
+		firstErr = s.log.Sync()
 	}
 	s.logMu.Unlock()
 	s.mu.RLock()
@@ -803,11 +762,11 @@ func (s *Store) Close() error {
 	}
 	gaugeAdd(gSegments, -float64(s.segmentCountLocked()))
 	gaugeAdd(gBytes, -float64(s.recordBytesLocked()))
-	if s.logF != nil {
-		if err := s.logF.Sync(); err != nil && firstErr == nil {
+	if s.log != nil {
+		if err := s.log.Sync(); err != nil && firstErr == nil {
 			firstErr = err
 		}
-		if err := s.logF.Close(); err != nil && firstErr == nil {
+		if err := s.log.Close(); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}

@@ -343,16 +343,22 @@ func TestCompactionRestoresFastPath(t *testing.T) {
 	s := openSmall(t, dir)
 	defer s.Close()
 	storetest.Fill(t, s, "cmp", 150)
+	sh, err := s.getShard("cmp", false)
+	if err != nil || sh == nil {
+		t.Fatal(err)
+	}
+	// The test compacts this shard by hand below. Marking it queued
+	// keeps the background compactor off it: otherwise the compactor
+	// may repair the shard before the test reads its broken state.
+	sh.mu.Lock()
+	sh.compactQueued = true
+	sh.mu.Unlock()
 	// A worker retry re-appends an old index out of order.
 	if err := s.Append(storetest.Episode("cmp", 3)); err != nil {
 		t.Fatal(err)
 	}
 	want, err := s.Episodes("cmp")
 	if err != nil {
-		t.Fatal(err)
-	}
-	sh, err := s.getShard("cmp", false)
-	if err != nil || sh == nil {
 		t.Fatal(err)
 	}
 	sh.mu.Lock()
@@ -648,6 +654,129 @@ func TestMigrateFromJSONL(t *testing.T) {
 	// Never merge into live data.
 	if _, err := MigrateFromJSONL(src, dst); err == nil {
 		t.Error("migrate into a non-empty destination succeeded")
+	}
+}
+
+// TestSegmentEndsUnterminatedFinalLine: after a crash that left the
+// active segment's last record without its newline (and no index
+// cache), reopening ends the line, so later appends stay readable.
+func TestSegmentEndsUnterminatedFinalLine(t *testing.T) {
+	dir := t.TempDir()
+	s := openSmall(t, dir)
+	storetest.Fill(t, s, "u", 3)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	sh := filepath.Join(dir, shardsDir, escapeName("u"))
+	gen, err := readCurrent(sh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seqs, err := listSegs(filepath.Join(sh, genName(gen)))
+	if err != nil || len(seqs) == 0 {
+		t.Fatalf("no segments: %v", err)
+	}
+	active := seqs[len(seqs)-1]
+	seg := filepath.Join(sh, genName(gen), segName(active))
+	raw, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(seg, raw[:len(raw)-1], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	os.Remove(filepath.Join(sh, genName(gen), idxName(active)))
+
+	s = openSmall(t, dir)
+	for i := 3; i < 5; i++ {
+		if err := s.Append(storetest.Episode("u", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s = openSmall(t, dir)
+	defer s.Close()
+	eps, err := s.Episodes("u")
+	if err != nil || len(eps) != 5 {
+		t.Fatalf("%d episodes after reopen (%v), want 5", len(eps), err)
+	}
+}
+
+// TestMigrateAcceptsWhatLoadAccepts: migration replays a JSONL store
+// exactly as results.Load does, so each accepts the same files and
+// reads the same records from them, including a malformed final line
+// that still ends in a newline.
+func TestMigrateAcceptsWhatLoadAccepts(t *testing.T) {
+	line := func(ep *results.EpisodeRecord, c *results.CampaignRecord) string {
+		l := struct {
+			Kind     string                  `json:"kind"`
+			Episode  *results.EpisodeRecord  `json:"episode,omitempty"`
+			Campaign *results.CampaignRecord `json:"campaign,omitempty"`
+		}{"episode", ep, c}
+		if c != nil {
+			l.Kind = "campaign"
+		}
+		raw, err := json.Marshal(l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(raw) + "\n"
+	}
+	ep0, ep1 := storetest.Episode("a", 0), storetest.Episode("a", 1)
+	camp := results.Aggregate(results.NewCampaign("a", "DS-2", ep0.Mode, true, 0), []results.EpisodeRecord{ep0, ep1})
+	newer := storetest.Episode("a", 2)
+	newer.V = results.Version + 1
+	clean := line(&ep0, nil) + line(&ep1, nil) + line(nil, &camp)
+	for _, tc := range []struct {
+		name, content string
+		ok            bool
+	}{
+		{"clean", clean, true},
+		{"torn tail", clean + `{"kind":"episode","epis`, true},
+		{"malformed final line with newline", clean + `{"kind":"episode","epis` + "\n", true},
+		{"malformed final line then blank lines", clean + "garbage\n\n  \n", true},
+		{"blank lines", "\n" + clean + "\n\n", true},
+		{"empty", "", true},
+		{"interior garbage", "garbage\n" + clean, false},
+		{"unknown kind at the end", clean + `{"kind":"mystery"}` + "\n", false},
+		{"newer schema at the end", clean + line(&newer, nil), false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tmp := t.TempDir()
+			src := filepath.Join(tmp, "s.jsonl")
+			if err := os.WriteFile(src, []byte(tc.content), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			loaded, lerr := results.Load(src)
+			_, merr := MigrateFromJSONL(src, filepath.Join(tmp, "seg"))
+			if (lerr == nil) != tc.ok || (merr == nil) != tc.ok {
+				t.Fatalf("results.Load: %v; MigrateFromJSONL: %v; want accepted=%v", lerr, merr, tc.ok)
+			}
+			if !tc.ok {
+				return
+			}
+			seg, err := Load(filepath.Join(tmp, "seg"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer seg.Close()
+			diffs, err := results.Diff(loaded, seg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, d := range diffs {
+				if !reflect.DeepEqual(d.A, d.B) {
+					t.Errorf("migration read %s differently:\n load %+v\n migrate %+v", d.Name, d.A, d.B)
+				}
+			}
+			want, _ := loaded.Episodes("a")
+			got, _ := seg.Episodes("a")
+			if !reflect.DeepEqual(want, got) {
+				t.Errorf("load read %d episodes, migration %d", len(want), len(got))
+			}
+		})
 	}
 }
 

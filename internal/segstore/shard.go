@@ -1,7 +1,6 @@
 package segstore
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -9,6 +8,7 @@ import (
 	"strings"
 	"sync"
 
+	"github.com/robotack/robotack/internal/jsonlog"
 	"github.com/robotack/robotack/internal/results"
 )
 
@@ -126,15 +126,20 @@ func (s *shard) recomputeSealedFast() {
 
 // scanSegment parses a segment file, rebuilding its metadata and — when
 // the records are sorted — its partial aggregate. The torn-tail rule is
-// the shared one (results.ScanJSONL): an unparsable final line is
-// excluded from the clean length; interior corruption is a hard error.
-func scanSegment(raw []byte, seq int, name string) (segMeta, *results.CampaignRecord, error) {
+// the shared one (jsonlog.Scan): an unparsable final line is excluded
+// from the clean length (m.bytes); interior corruption is a hard error.
+func scanSegment(path string, seq int, name string) (segMeta, *results.CampaignRecord, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return segMeta{}, nil, fmt.Errorf("segstore: read segment: %w", err)
+	}
+	defer f.Close()
 	m := segMeta{seq: seq, sorted: true}
 	var agg *results.CampaignRecord
-	good, err := results.ScanJSONL(raw, func(lineno int, line []byte) error {
+	good, err := jsonlog.Scan(f, func(lineno int, line []byte) error {
 		var ep results.EpisodeRecord
-		if err := json.Unmarshal(line, &ep); err != nil {
-			return fmt.Errorf("%w: %w", results.ErrMalformedLine, err)
+		if err := jsonlog.Decode(line, &ep); err != nil {
+			return err
 		}
 		if ep.Campaign != name {
 			return fmt.Errorf("segstore: segment %d line %d: campaign %q in shard %q", seq, lineno, ep.Campaign, name)
@@ -143,9 +148,9 @@ func scanSegment(raw []byte, seq int, name string) (segMeta, *results.CampaignRe
 		return nil
 	})
 	if err != nil {
-		return segMeta{}, nil, err
+		return segMeta{}, nil, fmt.Errorf("segstore: %s: %w", path, err)
 	}
-	m.bytes = int64(good)
+	m.bytes = good
 	if !m.sorted {
 		agg = nil
 	}
@@ -267,20 +272,16 @@ func openShard(dir, name string, ro bool) (*shard, int64, int64, error) {
 		}
 	}
 	if !adopted {
-		raw, err := os.ReadFile(s.segPath(activeSeq))
+		m, agg, err := scanSegment(s.segPath(activeSeq), activeSeq, name)
 		if err != nil {
-			return nil, 0, 0, fmt.Errorf("segstore: read active segment: %w", err)
+			return nil, 0, 0, err
 		}
-		m, agg, err := scanSegment(raw, activeSeq, name)
-		if err != nil {
-			return nil, 0, 0, fmt.Errorf("segstore: %s: %w", s.segPath(activeSeq), err)
-		}
-		scanned += int64(len(raw))
-		if !ro && m.bytes < int64(len(raw)) {
-			// Torn tail from a crash mid-append: cut it so the next
-			// append starts on a clean line boundary.
-			if err := os.Truncate(s.segPath(activeSeq), m.bytes); err != nil {
-				return nil, 0, 0, fmt.Errorf("segstore: drop torn tail: %w", err)
+		scanned += fi.Size()
+		if !ro {
+			// A crash mid-append: make the next append start on a clean
+			// line boundary.
+			if m.bytes, err = jsonlog.Repair(s.segPath(activeSeq), m.bytes); err != nil {
+				return nil, 0, 0, fmt.Errorf("segstore: %w", err)
 			}
 		}
 		s.active = m
@@ -310,27 +311,19 @@ func recoverSealed(s *shard, seq int, ro bool, scanned, idxBytes *int64) (segMet
 			return m, nil, nil
 		}
 	}
-	raw, err := os.ReadFile(segPath)
+	m, agg, err := scanSegment(segPath, seq, s.name)
 	if err != nil {
-		return segMeta{}, nil, fmt.Errorf("segstore: read segment: %w", err)
+		return segMeta{}, nil, err
 	}
-	m, agg, err := scanSegment(raw, seq, s.name)
-	if err != nil {
-		return segMeta{}, nil, fmt.Errorf("segstore: %s: %w", segPath, err)
-	}
-	*scanned += int64(len(raw))
-	if m.bytes < int64(len(raw)) {
+	*scanned += fi.Size()
+	if !ro {
 		// A sealed segment can carry a torn tail if the crash hit
 		// between the roll's write and its seal bookkeeping.
-		if !ro {
-			if err := os.Truncate(segPath, m.bytes); err != nil {
-				return segMeta{}, nil, fmt.Errorf("segstore: drop torn tail: %w", err)
-			}
+		if m.bytes, err = jsonlog.Repair(segPath, m.bytes); err != nil {
+			return segMeta{}, nil, fmt.Errorf("segstore: %w", err)
 		}
-	}
-	if !ro {
 		m.agg = agg
-		if err := writeFileAtomic(s.idxPath(seq), encodeIdx(&m)); err != nil {
+		if err := jsonlog.WriteFileAtomic(s.idxPath(seq), encodeIdx(&m)); err != nil {
 			return segMeta{}, nil, err
 		}
 		m.agg = nil
@@ -365,7 +358,7 @@ func (s *shard) sealedAgg(i int) (*results.CampaignRecord, error) {
 
 // writeManifest atomically replaces the shard's sealed-segment cache.
 func (s *shard) writeManifest() error {
-	return writeFileAtomic(filepath.Join(s.genDir, manifestFile), encodeManifest(s.sealed))
+	return jsonlog.WriteFileAtomic(filepath.Join(s.genDir, manifestFile), encodeManifest(s.sealed))
 }
 
 // seal closes the active segment: sync, write its .idx (header plus
@@ -387,7 +380,7 @@ func (s *shard) seal() error {
 	m := s.active
 	m.hasAgg = m.sorted && m.n > 0
 	m.agg = s.activeAgg
-	if err := writeFileAtomic(s.idxPath(m.seq), encodeIdx(&m)); err != nil {
+	if err := jsonlog.WriteFileAtomic(s.idxPath(m.seq), encodeIdx(&m)); err != nil {
 		return err
 	}
 	m.agg = nil
@@ -444,7 +437,7 @@ func (s *shard) closeWriter() error {
 	m := s.active
 	m.hasAgg = false
 	m.agg = nil
-	if err := writeFileAtomic(s.idxPath(m.seq), encodeIdx(&m)); err != nil && firstErr == nil {
+	if err := jsonlog.WriteFileAtomic(s.idxPath(m.seq), encodeIdx(&m)); err != nil && firstErr == nil {
 		firstErr = err
 	}
 	return firstErr
@@ -459,13 +452,9 @@ func (s *shard) ensureActiveAgg() error {
 	if s.activeAgg != nil || !s.active.sorted || s.active.n == 0 {
 		return nil
 	}
-	raw, err := os.ReadFile(s.segPath(s.active.seq))
+	m, agg, err := scanSegment(s.segPath(s.active.seq), s.active.seq, s.name)
 	if err != nil {
-		return fmt.Errorf("segstore: read active segment: %w", err)
-	}
-	m, agg, err := scanSegment(raw, s.active.seq, s.name)
-	if err != nil {
-		return fmt.Errorf("segstore: %s: %w", s.segPath(s.active.seq), err)
+		return err
 	}
 	if m.n != s.active.n || m.bytes != s.active.bytes || !m.sorted {
 		return fmt.Errorf("segstore: %s: segment diverged from its index (%d/%d records, %d/%d bytes)",
@@ -545,32 +534,4 @@ func listSegs(genDir string) ([]int, error) {
 	}
 	sort.Ints(seqs)
 	return seqs, nil
-}
-
-// writeFileAtomic stages content in a temp file, fsyncs, and renames it
-// into place — the runq compactJournal idiom, so a crash at any point
-// leaves either the old file or the complete new one.
-func writeFileAtomic(path string, data []byte) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("segstore: stage %s: %w", filepath.Base(path), err)
-	}
-	if _, err := f.Write(data); err == nil {
-		err = f.Sync()
-	}
-	if err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("segstore: stage %s: %w", filepath.Base(path), err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("segstore: stage %s: %w", filepath.Base(path), err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("segstore: install %s: %w", filepath.Base(path), err)
-	}
-	return nil
 }
